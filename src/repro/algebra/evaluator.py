@@ -5,9 +5,9 @@ Two interchangeable strategies implement Definition 2.3:
 * ``"indexed"`` (the default) — the production engine.  Structural
   semi-joins run on sorted region arrays (see
   :mod:`repro.core.regionset`), the direct operators use the instance
-  forest, and ``both-included`` uses two-sided containment windows over a
-  sparse range-minimum table.  This reproduces the set-at-a-time
-  efficiency the paper attributes to the PAT engine.
+  forest, and ``both-included`` uses two suffix-minimum probes per
+  region.  This reproduces the set-at-a-time efficiency the paper
+  attributes to the PAT engine.
 * ``"naive"`` — a literal transcription of the definitions, quadratic or
   cubic per operator.  It is the semantic oracle: the test suite checks
   the two strategies agree on randomly generated instances.
@@ -20,7 +20,6 @@ on the (hashable, immutable) expression nodes for the duration of one
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import monotonic, perf_counter
@@ -29,13 +28,12 @@ from typing import TYPE_CHECKING, Literal, Protocol, runtime_checkable
 from repro.algebra import ast as A
 from repro.algebra.parser import parse
 from repro.core.instance import Instance
-from repro.core.region import Region
 from repro.core.regionset import RegionSet
-from repro.core.sparse import RangeMin
 from repro.core.wordindex import TextWordIndex
 from repro.errors import EvaluationError, QueryCancelled, QueryTimeout
 from repro.faults import registry as _faults
 from repro.obs import context as _context
+from repro.vm.kernels import both_included
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -100,56 +98,6 @@ class _Limits:
             now = monotonic()
             if now > self.deadline_at:
                 raise QueryTimeout(self.budget, elapsed=now - self.started)
-
-
-class _ContainmentWindow:
-    """Pre-sorted view of a region set supporting containment probes.
-
-    For a probe region ``r`` it answers: the minimum right endpoint over
-    members with ``left ∈ [lo, hi]`` — the primitive both-included needs.
-    """
-
-    __slots__ = ("_lefts", "_range_min")
-
-    def __init__(self, regions: RegionSet):
-        ordered = regions.regions  # already sorted by (left, right)
-        self._lefts = [r.left for r in ordered]
-        self._range_min = RangeMin([r.right for r in ordered])
-
-    def min_right_with_left_in(self, lo: int, hi: int, strict_lo: bool) -> int | None:
-        i = (
-            bisect_right(self._lefts, lo)
-            if strict_lo
-            else bisect_left(self._lefts, lo)
-        )
-        j = bisect_right(self._lefts, hi)
-        return self._range_min.query(i, j)
-
-
-def _both_included_indexed(
-    source: RegionSet, first: RegionSet, second: RegionSet
-) -> RegionSet:
-    """``R BI (S, T)`` via two containment-window probes per R-region.
-
-    For each ``r``: the best witness ``s`` is the strictly-contained
-    S-region with the smallest right endpoint ``m``; ``r`` qualifies iff
-    some T-region with ``left > m`` is strictly contained in ``r``.
-    """
-    if not source or not first or not second:
-        return RegionSet.empty()
-    s_window = _ContainmentWindow(first)
-    t_window = _ContainmentWindow(second)
-    out: list[Region] = []
-    for r in source:
-        m = s_window.min_right_with_left_in(r.left, r.right, strict_lo=False)
-        # m == r.right can only be witnessed by s sharing r's right endpoint,
-        # after which no contained t can start beyond it — treat as failure.
-        if m is None or m >= r.right:
-            continue
-        t_min = t_window.min_right_with_left_in(m, r.right, strict_lo=True)
-        if t_min is not None and t_min <= r.right:
-            out.append(r)
-    return RegionSet(out)
 
 
 def _both_included_naive(
@@ -513,7 +461,7 @@ class Evaluator:
             source = self._eval(expr.source, instance, memo)
             first = self._eval(expr.first, instance, memo)
             second = self._eval(expr.second, instance, memo)
-            fn = _both_included_indexed if indexed else _both_included_naive
+            fn = both_included if indexed else _both_included_naive
             return fn(source, first, second)
         if isinstance(expr, A.BinaryOp):
             left = self._eval(expr.left, instance, memo)

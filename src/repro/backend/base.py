@@ -340,7 +340,7 @@ def evaluate_slice(
         if want == "exchange":
             payload.append(list(summarize_result(result)))
         else:
-            payload.append([[r.left, r.right] for r in result])
+            payload.append(result.pairs())
     return payload, perf_counter() - started
 
 

@@ -82,8 +82,7 @@ def parse_pattern(source: str) -> Pattern:
         raise PatternError("empty pattern")
     if source == "*":
         raise PatternError("pattern '*' would match every token")
-    has_glob = any(ch in source for ch in "*?")
-    if not has_glob:
+    if "*" not in source and "?" not in source:
         return LiteralPattern(source)
     if source.endswith("*") and not any(ch in source[:-1] for ch in "*?"):
         return PrefixPattern(source, prefix=source[:-1])

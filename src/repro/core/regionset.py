@@ -215,6 +215,11 @@ class RegionSet:
             self._regions = tuple(map(Region, self._lefts, self._rights))
         return self._regions
 
+    def pairs(self) -> list[list[int]]:
+        """``[[left, right], ...]`` in set order, read straight from the
+        endpoint arrays (the JSON wire form of a result)."""
+        return [[left, right] for left, right in zip(self._lefts, self._rights)]
+
     # ------------------------------------------------------------------
     # Set-theoretic operations (Definition 2.3, first group).
     # ------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Sparse-table range-minimum queries.
 
 Built in ``O(n log n)``, answers ``min(values[i:j])`` in ``O(1)``.  The
-indexed evaluator uses this for the ``both-included`` operator, whose
-containment windows are two-sided and therefore not answerable with the
-prefix/suffix extreme tables that suffice for ``⊃``/``⊂``.
+evaluators do not use it: ``both-included`` answers its containment
+windows with suffix minima (see :func:`repro.vm.kernels.both_included`).
 """
 
 from __future__ import annotations

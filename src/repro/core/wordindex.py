@@ -12,17 +12,19 @@ Two interchangeable implementations are provided behind the small
   instances used by the counter-example constructions and generators
   need exactly this freedom.
 
-Both support :meth:`~WordIndex.matches`; the text-backed index
-additionally exposes the *match points* of a pattern (the entries of the
-PAT word index) as a :class:`~repro.core.RegionSet`.
+Both support :meth:`~WordIndex.matches` (one region) and
+:meth:`~WordIndex.select` (``σ_p`` over a whole region set); the
+text-backed index additionally exposes the *match points* of a pattern
+(the entries of the PAT word index) as a :class:`~repro.core.RegionSet`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
-from repro.core.patterns import Pattern, parse_pattern
+from repro.core.patterns import LiteralPattern, PrefixPattern, parse_pattern
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 
@@ -54,12 +56,26 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _suffix_min(values: list[int]) -> list[int]:
+    """``out[i] = min(values[i:])`` (no sentinel)."""
+    out = values[:]
+    for i in range(len(out) - 2, -1, -1):
+        if out[i + 1] < out[i]:
+            out[i] = out[i + 1]
+    return out
+
+
 @runtime_checkable
 class WordIndex(Protocol):
-    """The minimal interface the evaluator needs: the predicate ``W``."""
+    """The interface the evaluators need: the predicate ``W``, one
+    region at a time and set-at-a-time."""
 
     def matches(self, region: Region, pattern: str) -> bool:
         """``W(region, pattern)`` — does the region satisfy the pattern?"""
+        ...
+
+    def select(self, region_set: RegionSet, pattern: str) -> RegionSet:
+        """``σ_p``: the members of ``region_set`` satisfying ``pattern``."""
         ...
 
 
@@ -69,7 +85,9 @@ class TextWordIndex:
     ``matches(r, p)`` asks whether *some* occurrence of a token matching
     ``p`` lies inside ``r``.  Occurrences of each distinct token are kept
     sorted by left endpoint with a suffix-minimum table of right
-    endpoints, so each containment probe is ``O(log n)``.
+    endpoints, so each containment probe is ``O(log n)``, and
+    :meth:`select` answers a whole sorted region set in one forward
+    sweep over those arrays.
     """
 
     def __init__(self, tokens: Iterable[Token]):
@@ -79,15 +97,13 @@ class TextWordIndex:
         self._occurrences: dict[str, tuple[list[int], list[int], list[int]]] = {}
         for text, occs in by_token.items():
             occs.sort()
-            lefts = [l for l, _ in occs]
             rights = [r for _, r in occs]
-            suffix = rights[:]
-            for i in range(len(suffix) - 2, -1, -1):
-                if suffix[i + 1] < suffix[i]:
-                    suffix[i] = suffix[i + 1]
-            self._occurrences[text] = (lefts, rights, suffix)
+            self._occurrences[text] = (
+                [l for l, _ in occs],
+                rights,
+                _suffix_min(rights),
+            )
         self._vocabulary = sorted(self._occurrences)
-        self._pattern_cache: dict[str, Pattern] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "TextWordIndex":
@@ -100,37 +116,89 @@ class TextWordIndex:
         """The distinct tokens, sorted."""
         return list(self._vocabulary)
 
-    def _parsed(self, pattern: str) -> Pattern:
-        parsed = self._pattern_cache.get(pattern)
-        if parsed is None:
-            parsed = parse_pattern(pattern)
-            self._pattern_cache[pattern] = parsed
-        return parsed
-
     def _matching_tokens(self, pattern: str) -> list[str]:
-        parsed = self._parsed(pattern)
-        # Prefix patterns can use the sorted vocabulary directly.
-        from repro.core.patterns import LiteralPattern, PrefixPattern
-
+        parsed = parse_pattern(pattern)
         if isinstance(parsed, LiteralPattern):
             return [pattern] if pattern in self._occurrences else []
+        # Prefix patterns can use the sorted vocabulary directly.
         if isinstance(parsed, PrefixPattern):
             lo = bisect_left(self._vocabulary, parsed.prefix)
             hi = bisect_left(self._vocabulary, parsed.prefix + "￿")
             return self._vocabulary[lo:hi]
         return [t for t in self._vocabulary if parsed.matches_token(t)]
 
+    def _occurrence_arrays(self, tokens: list[str]) -> tuple[list[int], list[int]]:
+        """The ``(lefts, rights)`` of every occurrence of ``tokens``,
+        sorted by ``(left, right)``.  One token's stored lists are
+        returned as they are; several are merged."""
+        if len(tokens) == 1:
+            lefts, rights, _ = self._occurrences[tokens[0]]
+            return lefts, rights
+        merged = sorted(
+            chain.from_iterable(
+                zip(*self._occurrences[token][:2]) for token in tokens
+            )
+        )
+        return [l for l, _ in merged], [r for _, r in merged]
+
     def match_points(self, pattern: str) -> RegionSet:
         """All occurrence regions of tokens matching ``pattern``.
 
         These are the PAT *match points* — usable as an ordinary region
         set operand (e.g. for proximity queries with ``<`` and ``>``).
+        Built straight from the occurrence arrays.
         """
-        out: list[Region] = []
-        for token in self._matching_tokens(pattern):
-            lefts, rights, _ = self._occurrences[token]
-            out.extend(Region(l, r) for l, r in zip(lefts, rights))
-        return RegionSet(out)
+        tokens = self._matching_tokens(pattern)
+        if not tokens:
+            return RegionSet.empty()
+        lefts, rights = self._occurrence_arrays(tokens)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        last_l = last_r = None
+        for left, right in zip(lefts, rights):
+            if left != last_l or right != last_r:
+                out_l.append(left)
+                out_r.append(right)
+                last_l, last_r = left, right
+        return RegionSet._from_arrays(out_l, out_r)
+
+    def select(self, region_set: RegionSet, pattern: str) -> RegionSet:
+        """``σ_p(R)``: keep each ``r ∈ R`` holding an occurrence of a
+        token matching ``pattern``, without building any Region.
+
+        The matching tokens are resolved once; several are merged into
+        one occurrence list.  ``r`` qualifies iff the minimum right
+        endpoint over occurrences with ``left >= left(r)`` is at most
+        ``right(r)`` — the achiever then lies inside ``r``
+        (non-strictly).  ``R``'s lefts ascend, so the bisect resumes
+        where the previous one ended, and the output is a subsequence
+        of ``R`` that needs no sort.
+        """
+        lefts = region_set._lefts
+        if not lefts:
+            return region_set
+        tokens = self._matching_tokens(pattern)
+        if not tokens:
+            return RegionSet.empty()
+        if len(tokens) == 1:
+            occ_lefts, _, suffix = self._occurrences[tokens[0]]
+        else:
+            occ_lefts, occ_rights = self._occurrence_arrays(tokens)
+            suffix = _suffix_min(occ_rights)
+        m = len(occ_lefts)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        j = 0
+        for left, right in zip(lefts, region_set._rights):
+            j = bisect_left(occ_lefts, left, j)
+            if j == m:
+                break
+            if suffix[j] <= right:
+                out_l.append(left)
+                out_r.append(right)
+        if len(out_l) == len(lefts):
+            return region_set
+        return RegionSet._from_arrays(out_l, out_r)
 
     def matches(self, region: Region, pattern: str) -> bool:
         """``W(region, pattern)``: an occurrence lies inside ``region``."""
@@ -161,7 +229,6 @@ class TextWordIndex:
             by_token.setdefault(text, []).append((left, right))
         clone = TextWordIndex.__new__(TextWordIndex)
         clone._occurrences = dict(self._occurrences)
-        clone._pattern_cache = {}
         fresh = []
         for text, occs in by_token.items():
             occs.sort()
@@ -174,22 +241,20 @@ class TextWordIndex:
                     f"extended() occurrence of {text!r} at {occs[0][0]} is "
                     "not after the existing occurrences"
                 )
-            suffix = [r for _, r in occs]
-            for i in range(len(suffix) - 2, -1, -1):
-                if suffix[i + 1] < suffix[i]:
-                    suffix[i] = suffix[i + 1]
+            rights = [r for _, r in occs]
+            suffix = _suffix_min(rights)
             if existing is None:
                 clone._occurrences[text] = (
                     [l for l, _ in occs],
-                    [r for _, r in occs],
+                    rights,
                     suffix,
                 )
                 fresh.append(text)
             else:
-                lefts, rights, old_suffix = existing
+                old_lefts, old_rights, old_suffix = existing
                 clone._occurrences[text] = (
-                    lefts + [l for l, _ in occs],
-                    rights + [r for _, r in occs],
+                    old_lefts + [l for l, _ in occs],
+                    old_rights + rights,
                     old_suffix + suffix,
                 )
         if fresh:
@@ -216,6 +281,18 @@ class LabelWordIndex:
 
     def matches(self, region: Region, pattern: str) -> bool:
         return pattern in self._labels.get(region, frozenset())
+
+    def select(self, region_set: RegionSet, pattern: str) -> RegionSet:
+        """``σ_p(R)`` by the per-region label test (the labelling is
+        keyed by Region); the output is a subsequence of ``R``."""
+        labels = self._labels
+        out_l: list[int] = []
+        out_r: list[int] = []
+        for region in region_set:
+            if pattern in labels.get(region, ()):
+                out_l.append(region.left)
+                out_r.append(region.right)
+        return RegionSet._from_arrays(out_l, out_r)
 
     def labels_of(self, region: Region) -> frozenset[str]:
         return self._labels.get(region, frozenset())

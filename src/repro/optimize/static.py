@@ -50,11 +50,21 @@ class NameBounds:
 
 
 class _Reachability:
-    """Transitive one-or-more-edge reachability over a schema graph."""
+    """Transitive one-or-more-edge reachability over a schema graph.
+
+    A node reaches itself only through a self-loop or a cycle (a name
+    nested in itself, e.g. ``Proc → Proc_body → Proc``).  That is why
+    the sets are the descendants of each successor rather than
+    ``nx.descendants(node)``, which never contains ``node``.
+    """
 
     def __init__(self, graph: nx.DiGraph):
+        below = {node: nx.descendants(graph, node) for node in graph.nodes}
         self._down: dict[str, frozenset[str]] = {
-            node: frozenset(nx.descendants(graph, node)) for node in graph.nodes
+            node: frozenset(graph.successors(node)).union(
+                *(below[child] for child in graph.successors(node))
+            )
+            for node in graph.nodes
         }
         self._graph = graph
 

@@ -15,14 +15,17 @@ when the sets interleave densely, never worse than the plain bisect.
 
 The order operators ``<`` / ``>`` fold to O(1) scalar extremes: a single
 max-left (resp. min-right) bound plus one slice or filter pass.
+
+The operators that need instance state run over the same arrays in
+their owners: ``σ_p`` and match points in
+:class:`~repro.core.wordindex.TextWordIndex`, ``⊃_d``/``⊂_d`` in
+:class:`~repro.core.forest.Forest`.  Both-included lives here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable
 
-from repro.core.region import Region
 from repro.core.regionset import RegionSet
 
 __all__ = [
@@ -35,7 +38,7 @@ __all__ = [
     "included_in",
     "preceding",
     "following",
-    "select",
+    "both_included",
     "order_bound_preceding",
     "order_bound_following",
 ]
@@ -286,14 +289,33 @@ def order_bound_following(a: RegionSet, bound: int) -> RegionSet:
 
 
 # ----------------------------------------------------------------------
-# Selection (σ_p): predicate needs the object view, output skips the sort.
+# Both-included (Definition 5.2): suffix minima of both witness sets.
 # ----------------------------------------------------------------------
 
-def select(a: RegionSet, predicate: Callable[[Region], bool]) -> RegionSet:
+def both_included(
+    source: RegionSet, first: RegionSet, second: RegionSet
+) -> RegionSet:
+    """``R BI (S, T)`` over the endpoint arrays, two bisects per R-region.
+
+    For each ``r``: the best witness ``s`` is the S-region with
+    ``left >= left(r)`` and the smallest right endpoint ``m``; ``r``
+    qualifies iff some T-region with ``left > m`` ends by ``right(r)``.
+    That ``t`` lies strictly inside ``r``, and ``s`` ends before ``t``
+    starts, so it lies strictly inside ``r`` too.  Both minima are
+    suffix minima, so the sets' cached suffix-minimum tables answer
+    them; the first bisect resumes where the last ended, and the
+    output is a subsequence of ``R``.
+    """
+    if not source or not first or not second:
+        return RegionSet.empty()
+    s_lefts, s_min = first._lefts, first._ensure_suffix_min()
+    t_lefts, t_min = second._lefts, second._ensure_suffix_min()
     out_l: list[int] = []
     out_r: list[int] = []
-    for r in a.regions:
-        if predicate(r):
-            out_l.append(r.left)
-            out_r.append(r.right)
+    i = 0
+    for left, right in zip(source._lefts, source._rights):
+        i = bisect_left(s_lefts, left, i)
+        if t_min[bisect_right(t_lefts, s_min[i])] <= right:
+            out_l.append(left)
+            out_r.append(right)
     return RegionSet._from_arrays(out_l, out_r)

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
 
 __all__ = ["execute"]
 
-_both_included = None
-
 
 def execute(
     program: Program,
@@ -77,8 +75,7 @@ def _step(ins, regs, instance, constants) -> RegionSet:
     if op == P.OP_LOAD_CONST:
         return constants[ins.arg]
     if op == P.OP_SELECT:
-        pattern = ins.arg
-        return K.select(regs[ins.a], lambda r: instance.matches(r, pattern))
+        return instance.word_index.select(regs[ins.a], ins.arg)
     if op == P.OP_MATCH_POINTS:
         word_index = instance.word_index
         if not isinstance(word_index, TextWordIndex):
@@ -96,9 +93,5 @@ def _step(ins, regs, instance, constants) -> RegionSet:
     if op == P.OP_DIRECT_INCLUDED:
         return instance.forest().directly_included(regs[ins.a], regs[ins.b])
     if op == P.OP_BOTH_INCLUDED:
-        global _both_included
-        if _both_included is None:
-            from repro.algebra.evaluator import _both_included_indexed
-            _both_included = _both_included_indexed
-        return _both_included(regs[ins.a], regs[ins.b], regs[ins.c])
+        return K.both_included(regs[ins.a], regs[ins.b], regs[ins.c])
     raise EvaluationError(f"unknown VM opcode {op}")  # pragma: no cover

@@ -1,5 +1,7 @@
 """Word indexes: tokenization and the W(r, p) predicate."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,24 @@ class TestTextWordIndex:
         assert index.matches(Region(0, 0), "x")
         assert index.matches(Region(4, 4), "x")
         assert not index.matches(Region(1, 3), "x")
+
+
+    def test_distinct_patterns_leave_index_size_unchanged(self, index):
+        # Patterns are resolved per call; nothing is kept per pattern.
+        def footprint():
+            return {
+                name: (len(value), sys.getsizeof(value))
+                for name, value in vars(index).items()
+            }
+
+        before = footprint()
+        operand = RegionSet.of((0, 30))
+        for i in range(10_000):
+            pattern = (f"w{i}", f"c{i}*", f"?{i}")[i % 3]
+            index.matches(Region(0, 30), pattern)
+            index.select(operand, pattern)
+            index.match_points(pattern)
+        assert footprint() == before
 
 
 class TestLabelWordIndex:

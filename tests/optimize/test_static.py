@@ -128,6 +128,62 @@ class TestPruning:
             assert evaluate(expr, instance) == evaluate(pruned_rog, instance), query
 
 
+class TestSameNameRelationships:
+    """Reachability is one or more edges, so a name related to itself
+    through a self-loop or a cycle survives pruning (``Proc → Proc_body
+    → Proc`` in Figure 1).  Optimized must equal unoptimized."""
+
+    NESTED = "program Main { proc P { var x; proc Q { var y; } } }"
+
+    def test_self_reachability_through_a_cycle(self, rig):
+        for query in ("Proc containing Proc", "Proc within Proc"):
+            assert infer_name_bounds(parse(query), rig).names == {"Proc"}
+        # No self-loop on Proc: directly nested procedures never occur.
+        assert infer_name_bounds(parse("Proc dcontaining Proc"), rig).is_empty
+
+    def test_self_loop(self):
+        rig = RegionInclusionGraph(["report"], [("report", "report")])
+        for query in ("report containing report", "report dwithin report"):
+            assert infer_name_bounds(parse(query), rig).names == {"report"}
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "Proc containing Proc",
+            "Proc within Proc",
+            "Proc_body containing Proc_body",
+            "Var within Proc within Proc",
+        ],
+    )
+    def test_nested_proc_optimized_equals_unoptimized(self, query):
+        from repro.engine.session import Engine
+
+        engine = Engine.from_source(self.NESTED)
+        plain = engine.query(query)
+        assert len(plain) == 1
+        assert engine.query(query, optimize_query=True) == plain
+
+    @pytest.mark.parametrize(
+        "query",
+        ["speech before speech", "line after line", "bi(scene, speaker, speaker)"],
+    )
+    def test_play_graphs_keep_same_name_queries(self, query):
+        from repro.engine.session import Engine
+        from repro.rig.derive import rig_from_instances
+        from repro.workloads.corpora import generate_play
+
+        text = generate_play(random.Random(3), acts=2)
+        instance = Engine.from_tagged_text(text).instance
+        rig = rig_from_instances([instance])
+        rog = rog_from_instances([instance])
+        expr = parse(query)
+        expected = evaluate(expr, instance, "naive")
+        assert expected
+        pruned = prune_with_rig(expr, rig, rog)
+        assert pruned == expr
+        assert evaluate(pruned, instance, "naive") == expected
+
+
 class TestOptimizerIntegration:
     def test_optimizer_reports_static_pruning(self):
         from repro.optimize.optimizer import optimize

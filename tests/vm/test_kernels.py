@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from repro.core.regionset import Region, RegionSet
+from repro.core.wordindex import LabelWordIndex
 from repro.properties.reduction import (
     isomorphic_sibling_pairs,
     reduce_regions,
@@ -118,11 +119,13 @@ class TestRandomSets:
             assert list(fol) == [r for r in a if r.left > bound]
 
     def test_select_matches_reference(self):
+        # σ_p over a label index equals the per-region reference filter.
         rng = random.Random(11)
         for _ in range(40):
             a = random_set(rng)
             pred = lambda r: (r.left + r.right) % 3 == 0
-            assert_same(kernels.select(a, pred), a.select(pred), repr(a))
+            index = LabelWordIndex({r: {"p"} for r in a if pred(r)})
+            assert_same(index.select(a, "p"), a.select(pred), repr(a))
 
 
 class TestBoundaries:
